@@ -2,13 +2,13 @@
 
 CARGO ?= cargo
 
-.PHONY: ci fmt fmt-check clippy clippy-simd build test test-simd doc stress bench bench-smoke examples lint-artifacts
+.PHONY: ci fmt fmt-check clippy clippy-simd build test test-simd doc stress perfbench-test bench bench-smoke examples lint-artifacts
 
 # The simd lanes re-run clippy and the test suite with the SSE2
 # intrinsics swapped in (the `simd` feature on the facade crate forwards
 # to homunculus-ml and homunculus-runtime); verdicts must stay
 # bit-identical, so the same tests gate both kernel tiers.
-ci: fmt-check clippy clippy-simd build test test-simd doc stress lint-artifacts
+ci: fmt-check clippy clippy-simd build test test-simd doc stress perfbench-test lint-artifacts
 
 fmt:
 	$(CARGO) fmt
@@ -53,6 +53,12 @@ stress:
 			{ echo "stress: failed on run $$i/$(STRESS_RUNS)"; exit 1; }; \
 	done
 	@echo "stress: $(STRESS_RUNS) consecutive runs passed"
+
+# The benchmark package (`perfbench/`, its own workspace) carries tests
+# of its own statistics: quartiles, percentiles, the `compare` rule,
+# open-loop latency, span self time, the steal filter and speed scaling.
+perfbench-test:
+	$(CARGO) test -q --release --manifest-path perfbench/Cargo.toml
 
 bench:
 	$(CARGO) bench -p homunculus-bench

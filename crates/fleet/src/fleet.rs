@@ -538,9 +538,12 @@ impl Fleet {
     /// Packet counts, verdict histograms, and latency summaries come
     /// from each switch deployment's lifetime snapshot (they accumulate
     /// across runs); gated/forwarded accounting comes from `report`.
-    /// Per-switch `p50_ns` is the packet-weighted mean of tenant medians
-    /// and `p99_ns` the max of tenant p99s — tenant histograms cannot be
-    /// merged exactly, so both are documented approximations.
+    /// Tenant latencies are per packet but not timed per packet: each
+    /// switch worker times a whole chunk once and charges every row its
+    /// block time ÷ rows. Per-switch `p50_ns` is the packet-weighted mean
+    /// of tenant medians and `p99_ns` the max of tenant p99s — tenant
+    /// histograms cannot be merged exactly, so both are documented
+    /// approximations.
     pub fn stats(&self, report: &FleetReport) -> FleetStats {
         let mut switches = Vec::with_capacity(self.nodes.len());
         for (node, switch) in self.nodes.iter().zip(self.topology.switches()) {

@@ -101,7 +101,8 @@ pub fn jain_fairness(loads: &[f64]) -> f64 {
 /// wall-clock calibration against the cycle-accurate grid simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Calibration {
-    /// Mean wall-clock classify latency measured while serving, in ns.
+    /// Mean wall-clock classify latency measured while serving, in ns
+    /// per packet (each chunk's block time ÷ its rows).
     pub measured_mean_ns: f64,
     /// Latency the grid simulator predicts for the same IR on a default
     /// Taurus grid, in ns.

@@ -63,7 +63,7 @@
 
 use crate::histogram::LatencyHistogram;
 use crate::lut::LutCache;
-use crate::pipeline::{Compile, CompiledPipeline, Scratch};
+use crate::pipeline::{BlockScratch, Compile, CompiledPipeline, BLOCK_ROWS};
 use crate::ring::{Backoff, Ring, SlotSlab};
 use crate::serve::{next_server_tag, TenantBatch, TenantId, TenantStats};
 use crate::{Result, RuntimeError};
@@ -168,19 +168,49 @@ struct TenantEntry {
 }
 
 impl TenantEntry {
-    /// Normalizes (if a normalizer is installed) and classifies one
-    /// packet; `row` is a reusable buffer for the normalized copy.
-    fn classify(&self, features: &[f32], row: &mut Vec<f32>, scratch: &mut Scratch) -> usize {
-        match &self.normalizer {
-            Some(normalizer) => {
-                row.clear();
-                row.extend_from_slice(features);
-                normalizer.apply(row);
-                self.pipeline.classify(row, scratch)
+    /// Classifies rows `start..start + out.len()` of `features` into
+    /// `out` through the 32-row block kernels. With a normalizer, each
+    /// block is first normalized into `normalized`, a worker-owned buffer
+    /// of at most [`BLOCK_ROWS`] rows reused across blocks and chunks.
+    fn classify_chunk(
+        &self,
+        features: &Matrix,
+        start: usize,
+        out: &mut [usize],
+        scratch: &mut BlockScratch,
+        normalized: &mut Vec<f32>,
+    ) {
+        let cols = features.cols();
+        for (index, block_out) in out.chunks_mut(BLOCK_ROWS).enumerate() {
+            let first = start + index * BLOCK_ROWS;
+            let rows = block_out.len();
+            let Some(normalizer) = &self.normalizer else {
+                self.pipeline
+                    .classify_block(features, first, rows, block_out, scratch);
+                continue;
+            };
+            let mut buffer = std::mem::take(normalized);
+            buffer.clear();
+            buffer.extend_from_slice(&features.as_slice()[first * cols..(first + rows) * cols]);
+            for row in 0..rows {
+                normalizer.apply(&mut buffer[row * cols..(row + 1) * cols]);
             }
-            None => self.pipeline.classify(features, scratch),
+            let block = Matrix::from_vec(rows, cols, buffer).expect("buffer holds rows x cols");
+            self.pipeline
+                .classify_block(&block, 0, rows, block_out, scratch);
+            *normalized = block.into_vec();
         }
     }
+}
+
+/// A resident worker's reusable buffers: kernel scratch, the normalized
+/// copy of the current block, and the chunk's verdicts. None of them
+/// shrinks, so a warm worker classifies without allocating.
+#[derive(Debug, Default)]
+struct WorkerBuffers {
+    block: BlockScratch,
+    normalized: Vec<f32>,
+    verdicts: Vec<usize>,
 }
 
 /// Running per-tenant counters, merged across every completed work item.
@@ -634,8 +664,7 @@ fn refill(shared: &Shared) -> bool {
         let mut target = None;
         for offset in 0..shared.worker_rings.len() {
             let ring_index = (sched.next_ring + offset) % shared.worker_rings.len();
-            let ring = &shared.worker_rings[ring_index];
-            if ring.len() < ring.capacity() {
+            if !shared.worker_rings[ring_index].is_full() {
                 target = Some(ring_index);
                 break;
             }
@@ -657,26 +686,15 @@ fn refill(shared: &Shared) -> bool {
 /// A resident worker: drain the own ring, refill it (running the shared
 /// scheduler) when empty, and back off exponentially when idle.
 fn worker_loop(shared: &Shared, worker: usize) {
-    let mut scratch = Scratch::new();
-    let mut row: Vec<f32> = Vec::new();
-    let mut verdicts: Vec<usize> = Vec::new();
-    let mut latencies: Vec<u64> = Vec::new();
+    let mut buffers = WorkerBuffers::default();
     let mut backoff = Backoff::new();
     loop {
         if let Some(slot) = shared.worker_rings[worker].pop() {
-            if !process_chunk(
-                shared,
-                slot,
-                &mut row,
-                &mut scratch,
-                &mut verdicts,
-                &mut latencies,
-            ) {
+            if !process_chunk(shared, slot, &mut buffers) {
                 // A classify panic may have left the reusable buffers in
                 // an arbitrary (but memory-safe) state; start the next
                 // chunk clean.
-                scratch = Scratch::new();
-                row = Vec::new();
+                buffers = WorkerBuffers::default();
             }
             backoff.reset();
             continue;
@@ -710,17 +728,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Classifies one chunk (recycling its slab slot) and publishes its
-/// verdicts + stats. Returns `false` when the classify loop panicked —
-/// the ticket still completes (carrying the panic for [`Ticket::wait`] to
-/// re-raise), so a model bug can never wedge `drain()`/`shutdown()`/`Drop`.
-fn process_chunk(
-    shared: &Shared,
-    slot: u32,
-    row: &mut Vec<f32>,
-    scratch: &mut Scratch,
-    verdicts: &mut Vec<usize>,
-    latencies: &mut Vec<u64>,
-) -> bool {
+/// verdicts + stats. The whole chunk is timed with one clock pair and its
+/// per-row mean folded into the tenant's latency histogram, once per row.
+/// Returns `false` when classification panicked — the ticket still
+/// completes (carrying the panic for [`Ticket::wait`] to re-raise), so a
+/// model bug can never wedge `drain()`/`shutdown()`/`Drop`.
+fn process_chunk(shared: &Shared, slot: u32, worker: &mut WorkerBuffers) -> bool {
     let chunk = shared.slab.take(slot);
     let entry = chunk.entry.expect("chunk carries its tenant entry");
     let ticket = chunk.ticket.expect("chunk carries its ticket");
@@ -729,8 +742,14 @@ fn process_chunk(
     let rows = chunk.rows as usize;
     let cancelled = ticket.cancelled.load(Ordering::SeqCst);
 
+    let WorkerBuffers {
+        block,
+        normalized,
+        verdicts,
+    } = worker;
     verdicts.clear();
-    latencies.clear();
+    verdicts.resize(rows, 0);
+    let mut elapsed_ns = 0u64;
     let panicked = if cancelled {
         None
     } else {
@@ -739,12 +758,9 @@ fn process_chunk(
         // instead of killing the resident worker with bookkeeping
         // half-done.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for offset in 0..rows {
-                let packet = features.row(start + offset);
-                let t0 = Instant::now();
-                verdicts.push(entry.classify(packet, row, scratch));
-                latencies.push(t0.elapsed().as_nanos() as u64);
-            }
+            let t0 = Instant::now();
+            entry.classify_chunk(&features, start, verdicts, block, normalized);
+            elapsed_ns = t0.elapsed().as_nanos() as u64;
         }));
         outcome
             .err()
@@ -760,9 +776,8 @@ fn process_chunk(
             }
             accum.verdict_histogram[verdict] += 1;
         }
-        for &latency in latencies.iter() {
-            accum.latency.record(latency);
-        }
+        let per_row_ns = (elapsed_ns + rows as u64 / 2) / rows.max(1) as u64;
+        accum.latency.record_n(per_row_ns, rows as u64);
         if let Some(oracle) = &chunk.oracle {
             accum.oracle_packets += rows;
             accum.oracle_agreements += oracle[start..start + rows]
@@ -782,7 +797,6 @@ fn process_chunk(
         inner.cancelled_rows += rows;
         // Verdict slots keep their deterministic 0 fill.
     } else {
-        verdicts.resize(rows, 0);
         inner.verdicts[start..start + rows].copy_from_slice(verdicts);
     }
     inner.remaining_items -= 1;
@@ -932,7 +946,8 @@ impl DeploymentBuilder {
 
     /// Dispatch granularity in rows. `0` keeps each batch one work item;
     /// a positive value splits batches so one tenant's large batch cannot
-    /// occupy a worker past the chunk boundary.
+    /// occupy a worker past the chunk boundary. Workers classify a chunk
+    /// in 32-row blocks, so a multiple of 32 leaves no partial tail block.
     #[must_use]
     pub fn chunk_rows(mut self, rows: usize) -> Self {
         self.chunk_rows = rows;
@@ -1704,6 +1719,7 @@ impl Deployment {
                 p50_ns: accum.latency.quantile(0.50),
                 p99_ns: accum.latency.quantile(0.99),
                 mean_ns: accum.latency.mean_ns(),
+                latency_samples: accum.latency.count(),
                 oracle_packets: accum.oracle_packets,
                 oracle_agreements: accum.oracle_agreements,
             });

@@ -107,6 +107,16 @@ impl LatencyHistogram {
         self.sum = self.sum.saturating_add(ns);
     }
 
+    /// Folds `n` samples of the same value in at once — O(1), identical
+    /// to `n` calls to [`record`](LatencyHistogram::record). Deployment
+    /// workers time a whole chunk with one clock pair and fold its
+    /// per-row mean here, weighted by the chunk's row count.
+    pub fn record_n(&mut self, ns: u64, n: u64) {
+        self.counts[Self::bucket_index(ns)] += n;
+        self.total += n;
+        self.sum = self.sum.saturating_add(ns.saturating_mul(n));
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.total
@@ -249,6 +259,42 @@ mod tests {
             let raw_mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
             assert!((hist.mean_ns() - raw_mean).abs() < 1e-9, "distribution {d}");
         }
+    }
+
+    #[test]
+    fn record_n_matches_repeated_record() {
+        for (v, k) in [
+            (0u64, 1u64),
+            (17, 31),
+            (291, 32),
+            (4_321, 33),
+            (1 << 40, 100),
+        ] {
+            let mut folded = LatencyHistogram::new();
+            let mut repeated = LatencyHistogram::new();
+            // A few distinct samples around the folded ones, so the
+            // quantiles have other buckets to rank against.
+            for other in [5u64, 900, 70_000] {
+                folded.record(other);
+                repeated.record(other);
+            }
+            folded.record_n(v, k);
+            for _ in 0..k {
+                repeated.record(v);
+            }
+            assert_eq!(folded.count(), repeated.count(), "v={v} k={k}");
+            assert_eq!(folded.mean_ns(), repeated.mean_ns(), "v={v} k={k}");
+            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+                assert_eq!(
+                    folded.quantile(q),
+                    repeated.quantile(q),
+                    "v={v} k={k} q={q}"
+                );
+            }
+        }
+        let mut hist = LatencyHistogram::new();
+        hist.record_n(123, 0);
+        assert!(hist.is_empty());
     }
 
     #[test]

@@ -109,6 +109,20 @@ impl Ring {
         self.len() == 0
     }
 
+    /// Whether [`push`](Ring::push) would report the ring full right now.
+    ///
+    /// Unlike `len() == capacity()`, this reads the cell the next push
+    /// lands in: a consumer frees a position when it advances `head` but
+    /// recycles the cell a moment later, and a push in between fails.
+    /// For a sole producer the answer is exact — `false` means its next
+    /// push succeeds, since consumers only ever free more cells.
+    pub fn is_full(&self) -> bool {
+        let pos = self.tail.load(Ordering::Relaxed);
+        let snapshot = self.cells[(pos & self.mask) as usize].load(Ordering::Acquire);
+        let seq = (snapshot >> 32) as u32;
+        (seq.wrapping_sub(pos as u32) as i32) < 0
+    }
+
     /// Enqueues `payload`, or returns it back when the ring is full.
     ///
     /// Lock-free: a stalled peer cannot block this call indefinitely, and
@@ -406,6 +420,44 @@ mod tests {
             assert_eq!(ring.pop(), Some(lap));
             assert_eq!(ring.pop(), Some(lap.wrapping_mul(7)));
         }
+        assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn is_full_is_exact_for_a_sole_producer() {
+        // A consumer popping concurrently frees positions before it
+        // recycles their cells; a sole producer that saw `!is_full()`
+        // must still never have a push refused.
+        const ITEMS: u32 = 200_000;
+        let ring = Ring::new(2);
+        assert!(!ring.is_full());
+        ring.push(0).unwrap();
+        ring.push(1).unwrap();
+        assert!(ring.is_full());
+        assert_eq!(ring.pop(), Some(0));
+        assert!(!ring.is_full());
+        assert_eq!(ring.pop(), Some(1));
+        let mut refused = 0;
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| {
+                (0..ITEMS).all(|i| loop {
+                    if let Some(value) = ring.pop() {
+                        break value == i;
+                    }
+                })
+            });
+            let mut next = 0;
+            while next < ITEMS {
+                if !ring.is_full() {
+                    match ring.push(next) {
+                        Ok(()) => next += 1,
+                        Err(_) => refused += 1,
+                    }
+                }
+            }
+            assert!(consumer.join().unwrap(), "FIFO order broken");
+        });
+        assert_eq!(refused, 0, "pushes refused after is_full() said no");
         assert!(ring.is_empty());
     }
 

@@ -248,12 +248,22 @@ pub struct TenantStats {
     pub packets: usize,
     /// Verdict counts indexed by class.
     pub verdict_histogram: Vec<usize>,
-    /// Median per-packet classify latency in nanoseconds.
+    /// Median per-packet classify latency in nanoseconds. Workers time
+    /// each chunk with one clock pair around its block classify, so a
+    /// packet's latency is its chunk's block time ÷ rows; no packet is
+    /// timed on its own. Quantiles therefore spread across chunks, not
+    /// across the packets of one chunk.
     pub p50_ns: u64,
-    /// 99th-percentile per-packet classify latency in nanoseconds.
+    /// 99th-percentile per-packet classify latency in nanoseconds (chunk
+    /// block time ÷ rows, as for [`p50_ns`](TenantStats::p50_ns)).
     pub p99_ns: u64,
-    /// Mean per-packet classify latency in nanoseconds.
+    /// Mean per-packet classify latency in nanoseconds: total classify
+    /// time of the tenant's chunks ÷ packets classified.
     pub mean_ns: f64,
+    /// Samples in the latency histogram behind `p50_ns`/`p99_ns`/`mean_ns`:
+    /// each chunk contributes its per-row mean once per row, so this
+    /// equals [`packets`](TenantStats::packets).
+    pub latency_samples: u64,
     /// Packets that carried an oracle verdict.
     pub oracle_packets: usize,
     /// Of those, packets where the served verdict agreed with the oracle.
