@@ -23,6 +23,7 @@ use homunculus_runtime::{
 };
 use serde::{Deserialize, Serialize};
 use serde_json::{json, ToJson, Value};
+use std::sync::Arc;
 
 /// Compiler knobs: search/training budgets and reproducibility.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -211,10 +212,11 @@ pub struct ModelReport {
     pub normalizer: Normalizer,
     /// Generated platform code.
     pub code: String,
-    /// The winning algorithm's optimization history (Figure 4's series).
-    pub history: OptimizationHistory,
+    /// The winning algorithm's optimization history (Figure 4's series):
+    /// the same allocation as its entry in `algorithm_histories`.
+    pub history: Arc<OptimizationHistory>,
     /// Histories of all algorithm runs (winner included).
-    pub algorithm_histories: Vec<(Algorithm, OptimizationHistory)>,
+    pub algorithm_histories: Vec<(Algorithm, Arc<OptimizationHistory>)>,
 }
 
 /// JSON document form of a report. The executable `compiled` pipeline is
@@ -227,9 +229,9 @@ impl ToJson for ModelReport {
         let algorithm_histories: Vec<Value> = self
             .algorithm_histories
             .iter()
-            .map(
-                |(algorithm, history)| json!({ "algorithm": algorithm.name(), "history": history }),
-            )
+            .map(|(algorithm, history)| {
+                json!({ "algorithm": algorithm.name(), "history": **history })
+            })
             .collect();
         json!({
             "name": self.name,
@@ -245,7 +247,7 @@ impl ToJson for ModelReport {
             },
             "normalizer": self.normalizer,
             "code": self.code,
-            "history": self.history,
+            "history": *self.history,
             "algorithm_histories": algorithm_histories,
         })
     }
@@ -291,10 +293,20 @@ impl ModelReport {
                     })?;
                 Ok((
                     algorithm,
-                    OptimizationHistory::from_json(&entry["history"])?,
+                    Arc::new(OptimizationHistory::from_json(&entry["history"])?),
                 ))
             })
             .collect::<Result<Vec<_>>>()?;
+        // The winner's history is stored once, as the compile held it.
+        let history = OptimizationHistory::from_json(&value["history"])?;
+        let history = algorithm_histories
+            .iter()
+            .find(|(a, h)| *a == algorithm && **h == history)
+            .map_or_else(|| Arc::new(history), |(_, h)| Arc::clone(h));
+        let mut configuration = Configuration::from_json(&value["configuration"])?;
+        if let Some(point) = history.points().first() {
+            configuration.share_names_with(&point.configuration);
+        }
         // The lowering format travels with the report: re-lowering with
         // anything else would quantize differently from the pipeline
         // that produced the artifact's verdicts.
@@ -316,14 +328,14 @@ impl ModelReport {
             algorithm,
             objective,
             metric,
-            configuration: Configuration::from_json(&value["configuration"])?,
+            configuration,
             estimate: ResourceEstimate::from_json(&value["estimate"])?,
             ir,
             format,
             compiled,
             normalizer,
             code: text("code")?,
-            history: OptimizationHistory::from_json(&value["history"])?,
+            history,
             algorithm_histories,
         })
     }
@@ -338,12 +350,15 @@ pub struct CompiledArtifact {
     reports: Vec<ModelReport>,
     combined_resources: ResourceVector,
     combined_performance: Performance,
-    combined_code: String,
+    /// The combined code, or `None` when it is the first report's code
+    /// (always so for a one-model schedule), which is then kept once.
+    combined_code: Option<String>,
     partial: bool,
 }
 
 impl CompiledArtifact {
-    /// Assembles an artifact from the codegen stage's outputs.
+    /// Assembles an artifact from the codegen stage's outputs (or their
+    /// decoded form). `reports` must not be empty.
     pub(crate) fn assemble(
         reports: Vec<ModelReport>,
         combined_resources: ResourceVector,
@@ -351,6 +366,7 @@ impl CompiledArtifact {
         combined_code: String,
         partial: bool,
     ) -> Self {
+        let combined_code = (combined_code != reports[0].code).then_some(combined_code);
         CompiledArtifact {
             reports,
             combined_resources,
@@ -395,7 +411,9 @@ impl CompiledArtifact {
 
     /// The generated data-plane source (all models concatenated).
     pub fn code(&self) -> &str {
-        &self.combined_code
+        self.combined_code
+            .as_deref()
+            .unwrap_or(&self.reports[0].code)
     }
 
     /// Serializes the artifact to a pretty-printed JSON string — the
@@ -450,16 +468,16 @@ impl CompiledArtifact {
                 "artifact carries no model reports".into(),
             ));
         }
-        Ok(CompiledArtifact {
+        Ok(CompiledArtifact::assemble(
             reports,
-            combined_resources: ResourceVector::from_json(&value["combined_resources"])?,
-            combined_performance: Performance::from_json(&value["combined_performance"])?,
-            combined_code: value["combined_code"]
+            ResourceVector::from_json(&value["combined_resources"])?,
+            Performance::from_json(&value["combined_performance"])?,
+            value["combined_code"]
                 .as_str()
                 .ok_or_else(|| CoreError::Subsystem("artifact needs combined_code".into()))?
                 .to_string(),
-            partial: value["partial"].as_bool().unwrap_or(false),
-        })
+            value["partial"].as_bool().unwrap_or(false),
+        ))
     }
 
     /// Writes the artifact as JSON to `path` — compile once, serve
@@ -727,7 +745,7 @@ impl ToJson for CompiledArtifact {
             "reports": self.reports,
             "combined_resources": self.combined_resources,
             "combined_performance": self.combined_performance,
-            "combined_code": self.combined_code,
+            "combined_code": self.code(),
         })
     }
 }

@@ -1022,8 +1022,8 @@ pub struct TrainedModel {
     objective: f64,
     ir: ModelIr,
     normalizer: Normalizer,
-    history: OptimizationHistory,
-    algorithm_histories: Vec<(Algorithm, OptimizationHistory)>,
+    history: Arc<OptimizationHistory>,
+    algorithm_histories: Vec<(Algorithm, Arc<OptimizationHistory>)>,
 }
 
 impl TrainedModel {
@@ -1284,6 +1284,7 @@ impl Feasible<'_> {
                             word_bits: Some(target.as_target().word_bits()),
                         });
                     code = append_certificate_comments(code, &analysis.certificates);
+                    code.shrink_to_fit(); // the artifact keeps it
                     let compiled = model.ir.compile(format).ok();
                     Ok(ModelReport {
                         name: model.name,
@@ -1476,7 +1477,7 @@ fn train_model(ctx: &Ctx<'_>, spec: &ModelSpec, search: SearchedModel) -> Result
                 ));
             }
         }
-        algorithm_histories.push((algorithm, history));
+        algorithm_histories.push((algorithm, Arc::new(history)));
     }
     let (algorithm, configuration, winner_objective) = match winner {
         Some(winner) => winner,
@@ -1518,7 +1519,7 @@ fn train_model(ctx: &Ctx<'_>, spec: &ModelSpec, search: SearchedModel) -> Result
     let history = algorithm_histories
         .iter()
         .find(|(a, _)| *a == algorithm)
-        .map(|(_, h)| h.clone())
+        .map(|(_, h)| Arc::clone(h))
         .expect("winner came from a recorded run");
 
     Ok(TrainedModel {

@@ -146,6 +146,10 @@ fn feature_subset(n_features: usize, mtry: Option<usize>, rng: &mut StdRng) -> V
     }
 }
 
+/// Checks the training data shared by both tree flavors (and, through
+/// them, both forests). Non-finite features are refused: NaN has no place
+/// in the split order (sorting it panics or silently drops splits), and
+/// ±inf would put a threshold at infinity.
 fn validate_inputs(x: &Matrix, targets: usize) -> Result<()> {
     if x.rows() == 0 || x.cols() == 0 {
         return Err(MlError::EmptyInput("tree training data"));
@@ -156,6 +160,11 @@ fn validate_inputs(x: &Matrix, targets: usize) -> Result<()> {
             left: x.shape(),
             right: (targets, 1),
         });
+    }
+    if x.has_non_finite() {
+        return Err(MlError::InvalidArgument(
+            "tree training features must be finite".into(),
+        ));
     }
     Ok(())
 }
@@ -195,8 +204,8 @@ impl DecisionTreeClassifier {
     /// # Errors
     ///
     /// - [`MlError::EmptyInput`] / [`MlError::ShapeMismatch`] for bad data.
-    /// - [`MlError::InvalidArgument`] for out-of-range labels or
-    ///   `n_classes < 2`.
+    /// - [`MlError::InvalidArgument`] for non-finite features,
+    ///   out-of-range labels or `n_classes < 2`.
     pub fn fit(x: &Matrix, y: &[usize], n_classes: usize, config: &TreeConfig) -> Result<Self> {
         validate_inputs(x, y.len())?;
         if n_classes < 2 {
@@ -207,27 +216,35 @@ impl DecisionTreeClassifier {
                 "label {bad} out of range for {n_classes} classes"
             )));
         }
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut nodes = Vec::new();
-        let indices: Vec<usize> = (0..x.rows()).collect();
-        let mut max_depth_seen = 0;
-        build_classifier(
+        Ok(Self::grow(x, y, n_classes, config, sweep_split))
+    }
+
+    /// Grows a tree on validated inputs with the given split search.
+    fn grow(
+        x: &Matrix,
+        y: &[usize],
+        n_classes: usize,
+        config: &TreeConfig,
+        search: SplitSearch,
+    ) -> Self {
+        let mut grower = ClassifierGrower {
             x,
             y,
             n_classes,
             config,
-            &indices,
-            0,
-            &mut nodes,
-            &mut rng,
-            &mut max_depth_seen,
-        );
-        Ok(DecisionTreeClassifier {
-            nodes,
+            search,
+            nodes: Vec::new(),
+            rng: StdRng::seed_from_u64(config.seed),
+            max_depth_seen: 0,
+        };
+        let indices: Vec<usize> = (0..x.rows()).collect();
+        grower.grow(&indices, 0);
+        DecisionTreeClassifier {
+            nodes: grower.nodes,
             n_classes,
             n_features: x.cols(),
-            depth: max_depth_seen,
-        })
+            depth: grower.max_depth_seen,
+        }
     }
 
     /// Number of classes.
@@ -327,117 +344,181 @@ fn gini(counts: &[f32], total: f32) -> f32 {
         .sum::<f32>()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_classifier(
-    x: &Matrix,
-    y: &[usize],
-    n_classes: usize,
-    config: &TreeConfig,
-    indices: &[usize],
-    depth: usize,
-    nodes: &mut Vec<Node>,
-    rng: &mut StdRng,
-    max_depth_seen: &mut usize,
-) -> usize {
-    *max_depth_seen = (*max_depth_seen).max(depth);
-    let mut counts = vec![0.0f32; n_classes];
-    for &i in indices {
-        counts[y[i]] += 1.0;
-    }
-    let total = indices.len() as f32;
-    let node_gini = gini(&counts, total);
+/// The data one node's split search sees: the rows that reached the node
+/// and their class histogram.
+struct SplitNode<'a> {
+    x: &'a Matrix,
+    y: &'a [usize],
+    indices: &'a [usize],
+    /// Class counts over `indices` (whole numbers held in `f32`).
+    counts: &'a [f32],
+    min_samples_leaf: usize,
+}
 
-    let make_leaf = |nodes: &mut Vec<Node>, counts: &[f32]| -> usize {
-        let majority = crate::tensor::argmax(counts);
-        let mut distribution = counts.to_vec();
-        let t: f32 = distribution.iter().sum();
-        if t > 0.0 {
-            for d in &mut distribution {
-                *d /= t;
-            }
-        }
-        nodes.push(Node::Leaf {
-            value: majority as f32,
-            distribution,
-        });
-        nodes.len() - 1
-    };
+/// A classifier split search: the best `(feature, threshold, impurity)`
+/// over `features`, or `None` when no threshold leaves `min_samples_leaf`
+/// rows on both sides.
+type SplitSearch = fn(&SplitNode<'_>, &[usize]) -> Option<(usize, f32, f32)>;
 
-    if depth >= config.max_depth || indices.len() < config.min_samples_split || node_gini == 0.0 {
-        return make_leaf(nodes, &counts);
-    }
-
-    // Best split search over the (sub)set of features.
-    let mut best: Option<(usize, f32, f32)> = None; // (feature, threshold, impurity)
-    for feature in feature_subset(x.cols(), config.mtry, rng) {
-        let mut values: Vec<f32> = indices.iter().map(|&i| x.row(i)[feature]).collect();
-        for threshold in thresholds(&mut values) {
-            let mut left = vec![0.0f32; n_classes];
-            let mut right = vec![0.0f32; n_classes];
-            for &i in indices {
-                if x.row(i)[feature] <= threshold {
-                    left[y[i]] += 1.0;
-                } else {
-                    right[y[i]] += 1.0;
-                }
-            }
-            let nl: f32 = left.iter().sum();
-            let nr: f32 = right.iter().sum();
-            if (nl as usize) < config.min_samples_leaf || (nr as usize) < config.min_samples_leaf {
+/// The classifier split search: one sorted sweep per feature.
+///
+/// For each feature the node's `(value, label)` pairs are sorted once.
+/// The candidate thresholds are then walked in the order the textbook
+/// rescan walks them — ascending midpoints `0.5 * (lo + hi)` of adjacent
+/// distinct values — while a cursor moves every row with
+/// `value <= threshold` into the left class counts; the right counts are
+/// the node counts minus the left. That is O(rows · log rows) per feature
+/// instead of O(rows · thresholds).
+///
+/// The result is bit-identical to rescanning every row per threshold:
+///
+/// - The left side is exactly the sorted prefix with `value <= threshold`,
+///   even when the `f32` midpoint rounds up to the upper value (the
+///   cursor then also takes that value's rows, as the rescan would).
+///   Midpoints never decrease, so the cursor only moves forward.
+/// - `-0.0` and `0.0` compare equal, so they form one group and yield the
+///   same midpoints whichever of them is seen first.
+/// - Counts are whole numbers in `f32`, exact below 2^24 rows, so the
+///   left, right and side totals carry the same bits in any summation
+///   order, and the Gini terms are computed from them by the same
+///   expression.
+/// - Features are visited in the same order, thresholds ascending, and a
+///   candidate replaces the best only when strictly better.
+///
+/// Regression trees keep the rescan (see `build_regressor`): their `f32`
+/// sums of targets depend on the order they are added in, so a sweep
+/// would change the bits, and they only ever fit BO histories of a few
+/// dozen points.
+fn sweep_split(node: &SplitNode<'_>, features: &[usize]) -> Option<(usize, f32, f32)> {
+    let n = node.indices.len();
+    let total = n as f32;
+    let min_leaf = node.min_samples_leaf;
+    let mut pairs: Vec<(f32, usize)> = Vec::with_capacity(n);
+    let mut left = vec![0.0f32; node.counts.len()];
+    let mut right = vec![0.0f32; node.counts.len()];
+    let mut best: Option<(usize, f32, f32)> = None;
+    for &feature in features {
+        pairs.clear();
+        pairs.extend(
+            node.indices
+                .iter()
+                .map(|&i| (node.x.row(i)[feature], node.y[i])),
+        );
+        // Inputs are finite (see `validate_inputs`), so the total order
+        // only differs from `<` on the zeros, which form one group below.
+        pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        left.fill(0.0);
+        let mut moved = 0; // rows with value <= threshold, counted in `left`
+        for i in 1..n {
+            let (lo, hi) = (pairs[i - 1].0, pairs[i].0);
+            if lo == hi {
                 continue;
             }
+            let threshold = 0.5 * (lo + hi);
+            while moved < n && pairs[moved].0 <= threshold {
+                left[pairs[moved].1] += 1.0;
+                moved += 1;
+            }
+            if n - moved < min_leaf {
+                break; // the right side only shrinks from here
+            }
+            if moved < min_leaf {
+                continue;
+            }
+            for ((r, &c), &l) in right.iter_mut().zip(node.counts).zip(&left) {
+                *r = c - l;
+            }
+            let nl = moved as f32;
+            let nr = total - nl;
             let impurity = (nl * gini(&left, nl) + nr * gini(&right, nr)) / total;
             if best.map_or(true, |(_, _, b)| impurity < b) {
                 best = Some((feature, threshold, impurity));
             }
         }
     }
+    best
+}
 
-    let Some((feature, threshold, impurity)) = best else {
-        return make_leaf(nodes, &counts);
-    };
-    if impurity >= node_gini {
-        return make_leaf(nodes, &counts);
+/// Grows one classification tree depth-first into an arena.
+struct ClassifierGrower<'a> {
+    x: &'a Matrix,
+    y: &'a [usize],
+    n_classes: usize,
+    config: &'a TreeConfig,
+    search: SplitSearch,
+    nodes: Vec<Node>,
+    rng: StdRng,
+    max_depth_seen: usize,
+}
+
+impl ClassifierGrower<'_> {
+    /// Grows the subtree over `indices` and returns its arena index.
+    fn grow(&mut self, indices: &[usize], depth: usize) -> usize {
+        self.max_depth_seen = self.max_depth_seen.max(depth);
+        let mut counts = vec![0.0f32; self.n_classes];
+        for &i in indices {
+            counts[self.y[i]] += 1.0;
+        }
+        let node_gini = gini(&counts, indices.len() as f32);
+
+        let config = self.config;
+        if depth >= config.max_depth || indices.len() < config.min_samples_split || node_gini == 0.0
+        {
+            return self.leaf(counts);
+        }
+
+        let features = feature_subset(self.x.cols(), config.mtry, &mut self.rng);
+        let node = SplitNode {
+            x: self.x,
+            y: self.y,
+            indices,
+            counts: &counts,
+            min_samples_leaf: config.min_samples_leaf,
+        };
+        let Some((feature, threshold, impurity)) = (self.search)(&node, &features) else {
+            return self.leaf(counts);
+        };
+        if impurity >= node_gini {
+            return self.leaf(counts);
+        }
+
+        let x = self.x;
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
+            .iter()
+            .partition(|&&i| x.row(i)[feature] <= threshold);
+
+        let slot = self.nodes.len();
+        self.nodes.push(Node::Leaf {
+            value: 0.0,
+            distribution: Vec::new(),
+        }); // placeholder
+        let left = self.grow(&left_idx, depth + 1);
+        let right = self.grow(&right_idx, depth + 1);
+        self.nodes[slot] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        slot
     }
 
-    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-        .iter()
-        .partition(|&&i| x.row(i)[feature] <= threshold);
-
-    let slot = nodes.len();
-    nodes.push(Node::Leaf {
-        value: 0.0,
-        distribution: Vec::new(),
-    }); // placeholder
-    let left = build_classifier(
-        x,
-        y,
-        n_classes,
-        config,
-        &left_idx,
-        depth + 1,
-        nodes,
-        rng,
-        max_depth_seen,
-    );
-    let right = build_classifier(
-        x,
-        y,
-        n_classes,
-        config,
-        &right_idx,
-        depth + 1,
-        nodes,
-        rng,
-        max_depth_seen,
-    );
-    nodes[slot] = Node::Split {
-        feature,
-        threshold,
-        left,
-        right,
-    };
-    slot
+    /// Pushes a leaf predicting the majority class of `counts`.
+    fn leaf(&mut self, counts: Vec<f32>) -> usize {
+        let majority = crate::tensor::argmax(&counts);
+        let mut distribution = counts;
+        let t: f32 = distribution.iter().sum();
+        if t > 0.0 {
+            for d in &mut distribution {
+                *d /= t;
+            }
+        }
+        self.nodes.push(Node::Leaf {
+            value: majority as f32,
+            distribution,
+        });
+        self.nodes.len() - 1
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -458,6 +539,7 @@ impl DecisionTreeRegressor {
     /// # Errors
     ///
     /// - [`MlError::EmptyInput`] / [`MlError::ShapeMismatch`] for bad data.
+    /// - [`MlError::InvalidArgument`] for non-finite features.
     pub fn fit(x: &Matrix, y: &[f32], config: &TreeConfig) -> Result<Self> {
         validate_inputs(x, y.len())?;
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -525,6 +607,11 @@ fn sum_and_sq(indices: &[usize], y: &[f32]) -> (f32, f32) {
     (s, ss)
 }
 
+/// Grows a regression subtree. Unlike the classifier's sorted sweep
+/// (`sweep_split`), the split search rescans every row per threshold: the
+/// `f32` sums of targets and squares depend on the order rows are added
+/// in, so a running sweep would change the fitted bits, and the only
+/// regression trees in the system fit BO histories of a few dozen points.
 #[allow(clippy::too_many_arguments)]
 fn build_regressor(
     x: &Matrix,
@@ -632,6 +719,79 @@ fn build_regressor(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
+
+    /// The reference split search the sweep replaced: for every candidate
+    /// threshold, rescan every row of the node.
+    fn rescan_split(node: &SplitNode<'_>, features: &[usize]) -> Option<(usize, f32, f32)> {
+        let total = node.indices.len() as f32;
+        let min_leaf = node.min_samples_leaf;
+        let mut best: Option<(usize, f32, f32)> = None;
+        for &feature in features {
+            let mut values: Vec<f32> = node
+                .indices
+                .iter()
+                .map(|&i| node.x.row(i)[feature])
+                .collect();
+            for threshold in thresholds(&mut values) {
+                let mut left = vec![0.0f32; node.counts.len()];
+                let mut right = vec![0.0f32; node.counts.len()];
+                for &i in node.indices {
+                    if node.x.row(i)[feature] <= threshold {
+                        left[node.y[i]] += 1.0;
+                    } else {
+                        right[node.y[i]] += 1.0;
+                    }
+                }
+                let nl: f32 = left.iter().sum();
+                let nr: f32 = right.iter().sum();
+                if (nl as usize) < min_leaf || (nr as usize) < min_leaf {
+                    continue;
+                }
+                let impurity = (nl * gini(&left, nl) + nr * gini(&right, nr)) / total;
+                if best.map_or(true, |(_, _, b)| impurity < b) {
+                    best = Some((feature, threshold, impurity));
+                }
+            }
+        }
+        best
+    }
+
+    /// Bit-level view of an exported arena (so `-0.0` vs `0.0` thresholds
+    /// count as different).
+    fn node_bits(tree: &DecisionTreeClassifier) -> Vec<(usize, u32, usize, usize)> {
+        tree.export_nodes()
+            .into_iter()
+            .map(|node| match node {
+                ExportedNode::Leaf { class } => (class, u32::MAX, 0, 0),
+                ExportedNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => (feature, threshold.to_bits(), left, right),
+            })
+            .collect()
+    }
+
+    /// `1.0` and its next two `f32` successors.
+    fn one_and_successors() -> [f32; 3] {
+        let one = 1.0f32.to_bits();
+        [1.0, f32::from_bits(one + 1), f32::from_bits(one + 2)]
+    }
+
+    /// Feature values that stress the threshold walk: a handful of levels
+    /// (so most values repeat), adjacent floats whose midpoint rounds down
+    /// to the lower one or up to the upper one, and both zeros.
+    fn tricky_value(rng: &mut StdRng) -> f32 {
+        match rng.gen_range(0..6) {
+            0 => rng.gen_range(0..4) as f32,
+            1 => one_and_successors()[rng.gen_range(0..3)],
+            2 => -0.0,
+            3 => 0.0,
+            _ => rng.gen_range(-8..8) as f32 * 0.25,
+        }
+    }
 
     #[test]
     fn classifier_fits_threshold_rule() {
@@ -765,6 +925,76 @@ mod tests {
             DecisionTreeClassifier::fit(&x, &y, 2, &TreeConfig::default().mtry(2).seed(4)).unwrap();
         let acc = crate::metrics::accuracy(&y, &tree.predict(&x)).unwrap();
         assert!(acc > 0.8, "accuracy {acc}");
+    }
+
+    #[test]
+    fn midpoints_of_adjacent_floats_round_to_either_end() {
+        // The premise of `tricky_value`: the f32 midpoint of two adjacent
+        // floats is one of them (ties round to even), and for the second
+        // pair it is the upper one, so `value <= threshold` takes both
+        // values' rows.
+        let [a, b, c] = one_and_successors();
+        assert_eq!(0.5 * (a + b), a);
+        assert_eq!(0.5 * (b + c), c);
+    }
+
+    #[test]
+    fn rejects_non_finite_features() {
+        // Every third row non-finite in one column: with NaN, 40 rows used
+        // to panic in the threshold sort and 200 to fit a one-node tree.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for rows in [4, 40, 200] {
+                let x = Matrix::from_fn(rows, 2, |r, c| {
+                    if r % 3 == 1 && c == 0 {
+                        bad
+                    } else {
+                        (r + c) as f32
+                    }
+                });
+                let y: Vec<usize> = (0..rows).map(|i| i % 2).collect();
+                let targets: Vec<f32> = y.iter().map(|&c| c as f32).collect();
+                let config = TreeConfig::default();
+                assert!(matches!(
+                    DecisionTreeClassifier::fit(&x, &y, 2, &config),
+                    Err(MlError::InvalidArgument(_))
+                ));
+                assert!(matches!(
+                    DecisionTreeRegressor::fit(&x, &targets, &config),
+                    Err(MlError::InvalidArgument(_))
+                ));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn prop_sweep_matches_rescan(
+            seed in 0u64..1_000_000,
+            rows in 2usize..160,
+            cols in 1usize..5,
+            classes in 0usize..2,
+            leaf in 0usize..3,
+            depth in 1usize..21,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_classes = [2, 5][classes];
+            let data: Vec<Vec<f32>> = (0..rows)
+                .map(|_| (0..cols).map(|_| tricky_value(&mut rng)).collect())
+                .collect();
+            let y: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..n_classes)).collect();
+            let x = Matrix::from_rows(&data).unwrap();
+            let mut config = TreeConfig::default().max_depth(depth).seed(seed);
+            config.min_samples_leaf = [1, 5, 20][leaf];
+            if seed % 2 == 1 {
+                config.mtry = Some(1 + (seed as usize / 2) % cols);
+            }
+            let sweep = DecisionTreeClassifier::fit(&x, &y, n_classes, &config).unwrap();
+            let rescan = DecisionTreeClassifier::grow(&x, &y, n_classes, &config, rescan_split);
+            prop_assert_eq!(node_bits(&sweep), node_bits(&rescan));
+            prop_assert_eq!(sweep, rescan);
+        }
     }
 
     proptest! {

@@ -17,7 +17,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, ToJson, Value};
-use std::collections::BTreeMap;
+use std::ops::Index;
+use std::sync::Arc;
 
 /// Control signal a [`BayesianOptimizer::run_with`] monitor returns after
 /// every evaluation. The monitor is how callers *observe* the loop (each
@@ -45,7 +46,83 @@ pub struct Evaluation {
     /// minimizes this instead of chasing the objective.
     pub violation: f64,
     /// Auxiliary metrics recorded for reports (resources, latency, ...).
-    pub metrics: BTreeMap<String, f64>,
+    pub metrics: Metrics,
+}
+
+/// An evaluation's auxiliary metrics: a small map kept sorted by name, in
+/// one exactly sized allocation. A compile records about five metrics per
+/// evaluation, where a `BTreeMap` would spend a ~400 B node on each, and
+/// the names are shared: the points of one [`OptimizationHistory`] hold
+/// each name once. Iteration is in name order, as a `BTreeMap`'s is.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Metrics {
+    entries: Vec<(Arc<str>, f64)>,
+}
+
+impl Metrics {
+    /// An empty map.
+    pub fn new() -> Self {
+        Metrics::default()
+    }
+
+    /// Sets `name` to `value`, returning the value it replaced.
+    pub fn insert<S: Into<Arc<str>>>(&mut self, name: S, value: f64) -> Option<f64> {
+        let name = name.into();
+        match self.position(&name) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.reserve_exact(1);
+                self.entries.insert(i, (name, value));
+                None
+            }
+        }
+    }
+
+    /// The value recorded under `name`.
+    pub fn get(&self, name: &str) -> Option<&f64> {
+        self.position(name).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// Whether a value is recorded under `name`.
+    pub fn contains_key(&self, name: &str) -> bool {
+        self.position(name).is_ok()
+    }
+
+    /// `(name, value)` pairs in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.entries.iter().map(|(name, value)| (&**name, *value))
+    }
+
+    /// Whether no metric is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn position(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.entries.binary_search_by(|(key, _)| (**key).cmp(name))
+    }
+
+    /// Points every name that `other` also records at `other`'s copy.
+    fn share_names_with(&mut self, other: &Metrics) {
+        for (name, _) in &mut self.entries {
+            if let Ok(i) = other.position(name) {
+                let shared = &other.entries[i].0;
+                if !Arc::ptr_eq(name, shared) {
+                    *name = Arc::clone(shared);
+                }
+            }
+        }
+    }
+}
+
+/// Panics when no metric is recorded under the name, like a map's index.
+impl Index<&str> for Metrics {
+    type Output = f64;
+
+    fn index(&self, name: &str) -> &f64 {
+        self.get(name)
+            .unwrap_or_else(|| panic!("no metric named '{name}'"))
+    }
 }
 
 impl Evaluation {
@@ -55,7 +132,7 @@ impl Evaluation {
             objective,
             is_feasible: true,
             violation: 0.0,
-            metrics: BTreeMap::new(),
+            metrics: Metrics::new(),
         }
     }
 
@@ -72,7 +149,7 @@ impl Evaluation {
     }
 
     /// Records an auxiliary metric.
-    pub fn with_metric<S: Into<String>>(mut self, name: S, value: f64) -> Self {
+    pub fn with_metric<S: Into<Arc<str>>>(mut self, name: S, value: f64) -> Self {
         self.metrics.insert(name.into(), value);
         self
     }
@@ -85,8 +162,8 @@ impl Evaluation {
 impl ToJson for Evaluation {
     fn to_json(&self) -> Value {
         let mut metrics = serde_json::Map::new();
-        for (name, value) in &self.metrics {
-            metrics.insert(name.clone(), json!(*value));
+        for (name, value) in self.metrics.iter() {
+            metrics.insert(name.to_string(), json!(value));
         }
         json!({
             "objective": self.objective,
@@ -113,7 +190,7 @@ impl Evaluation {
         let violation = value["violation"]
             .as_f64()
             .ok_or_else(|| OptimizerError::Decode("evaluation needs numeric violation".into()))?;
-        let mut metrics = BTreeMap::new();
+        let mut metrics = Metrics::new();
         let map = value["metrics"]
             .as_object()
             .ok_or_else(|| OptimizerError::Decode("evaluation needs a metrics object".into()))?;
@@ -121,7 +198,7 @@ impl Evaluation {
             let metric = metric.as_f64().ok_or_else(|| {
                 OptimizerError::Decode(format!("metric '{name}' must be numeric"))
             })?;
-            metrics.insert(name.clone(), metric);
+            metrics.insert(name.as_str(), metric);
         }
         Ok(Evaluation {
             objective,
@@ -155,6 +232,23 @@ impl ToJson for EvaluatedPoint {
 }
 
 impl EvaluatedPoint {
+    /// Points this point's parameter and metric names at those of the
+    /// points recorded `before` it, so a history holds each name once.
+    fn share_names_with(&mut self, before: &[EvaluatedPoint]) {
+        if let Some(last) = before.last() {
+            self.configuration.share_names_with(&last.configuration);
+        }
+        if let Some(named) = before
+            .iter()
+            .rev()
+            .find(|p| !p.evaluation.metrics.is_empty())
+        {
+            self.evaluation
+                .metrics
+                .share_names_with(&named.evaluation.metrics);
+        }
+    }
+
     /// Decodes the [`ToJson`] document form.
     ///
     /// # Errors
@@ -203,12 +297,17 @@ impl OptimizationHistory {
             .filter(|&i| i >= 0)
             .ok_or_else(|| OptimizerError::Decode("history needs doe_samples".into()))?
             as usize;
-        let points = value["points"]
+        let mut points = value["points"]
             .as_array()
             .ok_or_else(|| OptimizerError::Decode("history needs a points array".into()))?
             .iter()
             .map(EvaluatedPoint::from_json)
             .collect::<Result<Vec<_>>>()?;
+        // Names are held once per history, as the search held them.
+        for i in 1..points.len() {
+            let (before, rest) = points.split_at_mut(i);
+            rest[0].share_names_with(before);
+        }
         if doe_samples > points.len() {
             return Err(OptimizerError::Decode(format!(
                 "doe_samples {doe_samples} exceeds {} recorded points",
@@ -581,11 +680,13 @@ impl BayesianOptimizer {
                 self.suggest(&points, rng)?
             };
             let evaluation = objective(&configuration);
-            points.push(EvaluatedPoint {
+            let mut point = EvaluatedPoint {
                 iteration,
                 configuration,
                 evaluation,
-            });
+            };
+            point.share_names_with(&points);
+            points.push(point);
             if monitor(points.last().expect("just pushed")) == SearchControl::Stop {
                 break;
             }
@@ -594,6 +695,8 @@ impl BayesianOptimizer {
         // A stop during DOE leaves fewer initialization points than
         // requested; the recorded count reflects what actually ran.
         let doe_samples = doe.min(points.len());
+        // Histories outlive the search (compile artifacts keep them).
+        points.shrink_to_fit();
         Ok(OptimizationHistory {
             points,
             doe_samples,
@@ -1055,6 +1158,57 @@ mod tests {
         let decoded =
             OptimizationHistory::from_json(&serde_json::from_str(&text).unwrap()).unwrap();
         assert_eq!(history, decoded, "history drifted through JSON");
+    }
+
+    #[test]
+    fn names_are_shared_across_a_history() {
+        let mut space = quadratic_space();
+        space.add("n", Parameter::integer(1, 8)).unwrap();
+        let history = BayesianOptimizer::new(space, OptimizerOptions::default().budget(12).seed(4))
+            .run(|c| {
+                let x = c.real("x").unwrap();
+                Evaluation::new(-x.abs()).with_metric(String::from("cost"), x * x)
+            })
+            .unwrap();
+        let shared = |history: &OptimizationHistory| {
+            let first = &history.points()[0];
+            let key = |p: &EvaluatedPoint| p.evaluation.metrics.iter().next().unwrap().0.as_ptr();
+            history.points().iter().all(|p| {
+                p.configuration.names().as_ptr() == first.configuration.names().as_ptr()
+                    && key(p) == key(first)
+            })
+        };
+        assert_eq!(history.points().len(), 12);
+        assert!(shared(&history), "searched points copy their names");
+        let decoded = OptimizationHistory::from_json(&history.to_json()).unwrap();
+        assert_eq!(decoded, history);
+        assert!(shared(&decoded), "decoded points copy their names");
+    }
+
+    #[test]
+    fn metrics_iterate_in_name_order_and_replace_in_place() {
+        let mut metrics = Metrics::new();
+        for (name, value) in [("mus", 3.0), ("cus", 1.0), ("params", 9.0), ("cus", 2.0)] {
+            metrics.insert(name, value);
+        }
+        let names: Vec<&str> = metrics.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["cus", "mus", "params"]);
+        assert_eq!(metrics["cus"], 2.0);
+        assert_eq!(metrics.get("lat"), None);
+        assert!(metrics.contains_key("mus") && !metrics.contains_key("m"));
+        let evaluation = Evaluation {
+            metrics,
+            ..Evaluation::new(0.5)
+        };
+        let json = serde_json::to_string(&evaluation.to_json()).unwrap();
+        assert!(
+            json.contains("{\"cus\":2,\"mus\":3,\"params\":9}"),
+            "{json}"
+        );
+        assert_eq!(
+            Evaluation::from_json(&evaluation.to_json()).unwrap(),
+            evaluation
+        );
     }
 
     #[test]

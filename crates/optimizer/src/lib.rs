@@ -50,7 +50,7 @@ pub mod surrogate;
 mod driver;
 
 pub use driver::{
-    BayesianOptimizer, EvaluatedPoint, Evaluation, OptimizationHistory, OptimizerOptions,
+    BayesianOptimizer, EvaluatedPoint, Evaluation, Metrics, OptimizationHistory, OptimizerOptions,
     SearchControl,
 };
 

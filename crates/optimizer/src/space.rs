@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use serde_json::json;
+use std::sync::Arc;
 
 /// One tunable parameter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -232,9 +233,13 @@ impl ParamValue {
 }
 
 /// A point in a design space: one value per parameter, in space order.
+///
+/// The parameter names are shared, not copied: every configuration a
+/// [`DesignSpace`] samples or perturbs points at the space's one name
+/// list, so a search history holds the names once.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Configuration {
-    names: Vec<String>,
+    names: Arc<[String]>,
     values: Vec<ParamValue>,
 }
 
@@ -242,13 +247,22 @@ pub struct Configuration {
 /// arrays in space order.
 impl serde_json::ToJson for Configuration {
     fn to_json(&self) -> serde_json::Value {
-        json!({ "names": self.names, "values": self.values })
+        json!({ "names": self.names[..], "values": self.values })
     }
 }
 
 impl Configuration {
-    pub(crate) fn new(names: Vec<String>, values: Vec<ParamValue>) -> Self {
+    pub(crate) fn new(names: Arc<[String]>, values: Vec<ParamValue>) -> Self {
         Configuration { names, values }
+    }
+
+    /// Points this configuration's names at `other`'s when the two name
+    /// lists are equal, so decoded configurations share one list the way
+    /// a search's configurations do.
+    pub fn share_names_with(&mut self, other: &Configuration) {
+        if !Arc::ptr_eq(&self.names, &other.names) && self.names == other.names {
+            self.names = Arc::clone(&other.names);
+        }
     }
 
     /// Decodes the [`serde_json::ToJson`] document form.
@@ -267,7 +281,7 @@ impl Configuration {
                     .map(str::to_string)
                     .ok_or_else(|| OptimizerError::Decode("parameter names must be strings".into()))
             })
-            .collect::<Result<Vec<_>>>()?;
+            .collect::<Result<Arc<[String]>>>()?;
         let values = value["values"]
             .as_array()
             .ok_or_else(|| OptimizerError::Decode("configuration needs a values array".into()))?
@@ -344,7 +358,11 @@ impl Configuration {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DesignSpace {
     name: String,
-    params: Vec<(String, Parameter)>,
+    /// The parameter names in order, shared by every configuration the
+    /// space produces.
+    names: Arc<[String]>,
+    /// The parameters, parallel to `names`.
+    params: Vec<Parameter>,
 }
 
 impl DesignSpace {
@@ -353,6 +371,7 @@ impl DesignSpace {
     pub fn new<S: Into<String>>(name: S) -> Self {
         DesignSpace {
             name: name.into(),
+            names: Arc::new([]),
             params: Vec::new(),
         }
     }
@@ -371,12 +390,13 @@ impl DesignSpace {
     pub fn add<S: Into<String>>(&mut self, name: S, parameter: Parameter) -> Result<&mut Self> {
         let name = name.into();
         parameter.validate(&name)?;
-        if self.params.iter().any(|(n, _)| *n == name) {
+        if self.names.contains(&name) {
             return Err(OptimizerError::InvalidSpace(format!(
                 "duplicate parameter '{name}'"
             )));
         }
-        self.params.push((name, parameter));
+        self.names = self.names.iter().cloned().chain([name]).collect();
+        self.params.push(parameter);
         Ok(self)
     }
 
@@ -392,14 +412,13 @@ impl DesignSpace {
 
     /// Iterates over `(name, parameter)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Parameter)> {
-        self.params.iter().map(|(n, p)| (n, p))
+        self.names.iter().zip(&self.params)
     }
 
     /// Uniform random configuration.
     pub fn sample(&self, rng: &mut StdRng) -> Configuration {
-        let names = self.params.iter().map(|(n, _)| n.clone()).collect();
-        let values = self.params.iter().map(|(_, p)| p.sample(rng)).collect();
-        Configuration::new(names, values)
+        let values = self.params.iter().map(|p| p.sample(rng)).collect();
+        Configuration::new(Arc::clone(&self.names), values)
     }
 
     /// A local perturbation of `base` (each parameter nudged with
@@ -421,7 +440,7 @@ impl DesignSpace {
             .params
             .iter()
             .enumerate()
-            .map(|(i, (_, p))| {
+            .map(|(i, p)| {
                 if i == forced || rng.gen_bool(0.5) {
                     p.perturb_scaled(&base.values()[i], rng, scale)
                 } else {
@@ -429,30 +448,24 @@ impl DesignSpace {
                 }
             })
             .collect();
-        let names = self.params.iter().map(|(n, _)| n.clone()).collect();
-        Configuration::new(names, values)
+        Configuration::new(Arc::clone(&self.names), values)
     }
 
     /// Whether `config` is a member of this space.
     pub fn contains(&self, config: &Configuration) -> bool {
-        config.names()
-            == self
-                .params
-                .iter()
-                .map(|(n, _)| n.clone())
-                .collect::<Vec<_>>()
+        config.names() == &self.names[..]
             && self
                 .params
                 .iter()
                 .zip(config.values())
-                .all(|((_, p), v)| p.contains(v))
+                .all(|(p, v)| p.contains(v))
     }
 
     /// Serializes the space to the HyperMapper JSON configuration format
     /// (the file the paper's implementation feeds to HyperMapper, §4).
     pub fn to_hypermapper_json(&self) -> serde_json::Value {
         let mut params = serde_json::Map::new();
-        for (name, p) in &self.params {
+        for (name, p) in self.iter() {
             let entry = match p {
                 Parameter::Real { low, high } => json!({
                     "parameter_type": "real",

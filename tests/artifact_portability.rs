@@ -251,3 +251,109 @@ fn partial_artifact_roundtrips_with_its_flag() {
         serve_frozen_stream(&reloaded, 2)
     );
 }
+
+/// FNV-1a over a byte string: a compact pin for a whole document.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `(json length, json hash, HJB1 length, HJB1 hash)` of an artifact.
+fn document_pins(artifact: &CompiledArtifact) -> (usize, u64, usize, u64) {
+    let json = artifact.to_json_string().unwrap();
+    let bin = artifact.to_bin_bytes();
+    (json.len(), fnv1a(json.as_bytes()), bin.len(), fnv1a(&bin))
+}
+
+/// A seeded two-model chain of decision trees (the combined code is then
+/// more than one report's code).
+fn compile_tree_chain() -> CompiledArtifact {
+    let spec = |name: &str, seed: u64| {
+        ModelSpec::builder(name)
+            .optimization_metric(Metric::F1)
+            .algorithm(Algorithm::DecisionTree)
+            .data(NslKddGenerator::new(seed).generate(600))
+            .build()
+            .unwrap()
+    };
+    let mut platform = Platform::taurus();
+    platform
+        .constraints_mut()
+        .throughput_gpps(1.0)
+        .latency_ns(500.0)
+        .grid(16, 16);
+    platform
+        .schedule(spec("ad", 3) >> spec("ad_next", 4))
+        .unwrap();
+    let options = CompilerOptions {
+        bo_budget: 6,
+        doe_samples: 3,
+        train_epochs: 10,
+        final_epochs: 20,
+        sample_cap: Some(500),
+        parallel: true,
+        seed: 5,
+        time_budget: None,
+    };
+    Compiler::new(options)
+        .open(&platform)
+        .unwrap()
+        .compile()
+        .unwrap()
+}
+
+/// A seeded one-model compile over every default family.
+fn compile_all_families() -> CompiledArtifact {
+    let spec = ModelSpec::builder("anomaly_detection")
+        .optimization_metric(Metric::F1)
+        .data(NslKddGenerator::new(2).generate(600))
+        .build()
+        .unwrap();
+    let mut platform = Platform::taurus();
+    platform
+        .constraints_mut()
+        .throughput_gpps(1.0)
+        .latency_ns(500.0)
+        .grid(16, 16);
+    platform.schedule(spec).unwrap();
+    let options = CompilerOptions {
+        bo_budget: 6,
+        doe_samples: 3,
+        train_epochs: 8,
+        final_epochs: 12,
+        sample_cap: Some(400),
+        parallel: true,
+        seed: 1,
+        time_budget: None,
+    };
+    Compiler::new(options)
+        .open(&platform)
+        .unwrap()
+        .compile()
+        .unwrap()
+}
+
+#[test]
+fn artifact_bytes_match_their_pins() {
+    // The JSON and HJB1 documents of two seeded compiles, pinned by
+    // length and hash. The in-memory artifact may share histories and
+    // elide a duplicate combined code; the wire bytes must not move.
+    let single = compile_all_families();
+    assert_eq!(single.reports().len(), 1);
+    assert_eq!(single.code(), single.best().code);
+    assert_eq!(
+        document_pins(&single),
+        (42_559, 0x64e4_daf5_2d50_9ba4, 13_292, 0x5780_4dd0_68db_da85),
+        "one-model compile"
+    );
+
+    let chain = compile_tree_chain();
+    assert_eq!(chain.reports().len(), 2);
+    assert_ne!(chain.code(), chain.best().code);
+    assert_eq!(
+        document_pins(&chain),
+        (56_337, 0x2f02_e8e6_069d_13a5, 27_561, 0x6ab9_9ae1_5059_15e2),
+        "two-model chain"
+    );
+}
